@@ -101,16 +101,16 @@ pub fn optimal_fair_ranking_dp(
     }
 
     type State = Vec<u16>;
-    // frontier: count-vector → best DCG so far
-    let mut frontier: HashMap<State, f64> = HashMap::new();
-    frontier.insert(vec![0u16; g], 0.0);
-    // parents[ℓ]: state after position ℓ+1 → group chosen at that position
-    let mut parents: Vec<HashMap<State, usize>> = Vec::with_capacity(n);
+    // layers[ℓ]: state after position ℓ+1 → (best DCG, group chosen at
+    // that position). An exact tie keeps the smaller group id, so the
+    // result never depends on the maps' (randomly keyed) iteration order.
+    let start: HashMap<State, (f64, usize)> = HashMap::from([(vec![0u16; g], (0.0, 0))]);
+    let mut layers: Vec<HashMap<State, (f64, usize)>> = Vec::with_capacity(n);
 
     for l in 0..n {
-        let mut next: HashMap<State, f64> = HashMap::new();
-        let mut parent: HashMap<State, usize> = HashMap::new();
-        for (state, value) in &frontier {
+        let frontier = layers.last().unwrap_or(&start);
+        let mut next: HashMap<State, (f64, usize)> = HashMap::new();
+        for (state, &(value, _)) in frontier {
             for p in 0..g {
                 let cnt = state[p] as usize;
                 if cnt >= sizes[p] {
@@ -132,28 +132,23 @@ pub fn optimal_fair_ranking_dp(
                 let mut new_state = state.clone();
                 new_state[p] += 1;
                 let v = value + gain;
-                match next.get_mut(&new_state) {
-                    Some(existing) if *existing >= v => {}
-                    _ => {
-                        next.insert(new_state.clone(), v);
-                        parent.insert(new_state, p);
-                    }
+                let slot = next.entry(new_state).or_insert((v, p));
+                if v > slot.0 || (v == slot.0 && p < slot.1) {
+                    *slot = (v, p);
                 }
             }
         }
         if next.is_empty() {
             return Err(BaselineError::Infeasible);
         }
-        frontier = next;
-        parents.push(parent);
+        layers.push(next);
     }
 
     // Reconstruct the group sequence from the unique full state.
     let mut state: State = sizes.iter().map(|&s| s as u16).collect();
-    debug_assert!(frontier.contains_key(&state));
     let mut group_seq = vec![0usize; n];
     for l in (0..n).rev() {
-        let p = *parents[l]
+        let (_, p) = *layers[l]
             .get(&state)
             .expect("backpointer exists for reachable state");
         group_seq[l] = p;

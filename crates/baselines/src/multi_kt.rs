@@ -73,16 +73,16 @@ pub fn optimal_fair_ranking_kt(
     }
 
     // Forward DP over count vectors, layer by prefix length (sum of
-    // counts); parents stored for reconstruction.
-    let mut layer: HashMap<Vec<usize>, u64> = HashMap::new();
-    layer.insert(vec![0usize; g], 0);
-    // parent[(counts)] = group appended to reach `counts`
-    let mut parents: Vec<HashMap<Vec<usize>, usize>> = Vec::with_capacity(n);
+    // counts): layers[k-1] maps counts → (least cost, group appended to
+    // reach them). An exact tie keeps the smaller group id, so the
+    // result never depends on the maps' iteration order.
+    let start: HashMap<Vec<usize>, (u64, usize)> = HashMap::from([(vec![0usize; g], (0, 0))]);
+    let mut layers: Vec<HashMap<Vec<usize>, (u64, usize)>> = Vec::with_capacity(n);
 
     for k in 1..=n {
-        let mut next: HashMap<Vec<usize>, u64> = HashMap::new();
-        let mut parent: HashMap<Vec<usize>, usize> = HashMap::new();
-        for (counts, &cost) in &layer {
+        let layer = layers.last().unwrap_or(&start);
+        let mut next: HashMap<Vec<usize>, (u64, usize)> = HashMap::new();
+        for (counts, &(cost, _)) in layer {
             for p in 0..g {
                 if counts[p] >= sizes[p] {
                     continue;
@@ -99,27 +99,23 @@ pub fn optimal_fair_ranking_kt(
                     continue;
                 }
                 let candidate = cost + added;
-                match next.get(&c2) {
-                    Some(&best) if best <= candidate => {}
-                    _ => {
-                        next.insert(c2.clone(), candidate);
-                        parent.insert(c2, p);
-                    }
+                let slot = next.entry(c2).or_insert((candidate, p));
+                if candidate < slot.0 || (candidate == slot.0 && p < slot.1) {
+                    *slot = (candidate, p);
                 }
             }
         }
         if next.is_empty() {
             return Err(BaselineError::Infeasible);
         }
-        parents.push(parent);
-        layer = next;
+        layers.push(next);
     }
 
     // Reconstruct from the full-count state.
     let mut counts = sizes.clone();
     let mut pattern = Vec::with_capacity(n);
     for k in (1..=n).rev() {
-        let &p = parents[k - 1]
+        let &(_, p) = layers[k - 1]
             .get(&counts)
             .expect("every surviving state has a recorded parent");
         pattern.push(p);

@@ -74,15 +74,17 @@ pub fn fair_top_k(
     }
 
     type State = Vec<u16>;
-    let mut frontier: HashMap<State, f64> = HashMap::new();
-    frontier.insert(vec![0u16; g], 0.0);
-    let mut parents: Vec<HashMap<State, usize>> = Vec::with_capacity(k);
+    // layers[ℓ]: state after position ℓ+1 → (best DCG, group chosen at
+    // that position); exact ties keep the smaller group id, as in
+    // `optimal_fair_ranking_dp`
+    let start: HashMap<State, (f64, usize)> = HashMap::from([(vec![0u16; g], (0.0, 0))]);
+    let mut layers: Vec<HashMap<State, (f64, usize)>> = Vec::with_capacity(k);
 
     for l in 0..k {
         let enforce = mode == FairnessMode::Strong || l + 1 == k;
-        let mut next: HashMap<State, f64> = HashMap::new();
-        let mut parent: HashMap<State, usize> = HashMap::new();
-        for (state, value) in &frontier {
+        let frontier = layers.last().unwrap_or(&start);
+        let mut next: HashMap<State, (f64, usize)> = HashMap::new();
+        for (state, &(value, _)) in frontier {
             for p in 0..g {
                 let cnt = state[p] as usize;
                 if cnt >= sizes[p] {
@@ -106,31 +108,33 @@ pub fn fair_top_k(
                 let mut new_state = state.clone();
                 new_state[p] += 1;
                 let v = value + gain;
-                match next.get(&new_state) {
-                    Some(existing) if *existing >= v => {}
-                    _ => {
-                        next.insert(new_state.clone(), v);
-                        parent.insert(new_state, p);
-                    }
+                let slot = next.entry(new_state).or_insert((v, p));
+                if v > slot.0 || (v == slot.0 && p < slot.1) {
+                    *slot = (v, p);
                 }
             }
         }
         if next.is_empty() {
             return Err(BaselineError::Infeasible);
         }
-        frontier = next;
-        parents.push(parent);
+        layers.push(next);
     }
 
     // Best final state (many states can reach level k, unlike the full
-    // ranking DP).
-    let (mut state, _) = frontier
-        .into_iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+    // ranking DP); an exact tie keeps the smallest count vector.
+    let mut state = layers[k - 1]
+        .iter()
+        .max_by(|a, b| {
+            (a.1 .0)
+                .partial_cmp(&b.1 .0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| b.0.cmp(a.0))
+        })
+        .map(|(state, _)| state.clone())
         .expect("non-empty frontier");
     let mut group_seq = vec![0usize; k];
     for l in (0..k).rev() {
-        let p = *parents[l]
+        let (_, p) = *layers[l]
             .get(&state)
             .expect("backpointer for reachable state");
         group_seq[l] = p;

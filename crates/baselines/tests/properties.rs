@@ -154,3 +154,50 @@ fn is_perm(pi: &Permutation, n: usize) -> bool {
         }
     })
 }
+
+/// The exact DP solvers keep one parent per state in randomly keyed
+/// hash maps; on a pool where many group orders tie exactly, the chosen
+/// parent must not depend on the maps' iteration order.
+#[test]
+fn exact_dp_solvers_are_deterministic_on_tied_pools() {
+    use fair_baselines::{optimal_fair_ranking_dp, optimal_fair_ranking_kt};
+    use std::collections::BTreeSet;
+
+    let n = 40;
+    let scores = vec![0.5; n];
+    let groups = GroupAssignment::new((0..n).map(|i| i % 3).collect(), 3).unwrap();
+    let bounds = FairnessBounds::from_assignment_with_tolerance(&groups, 0.2);
+    let tables = bounds.tables(n);
+    // the input ranks whole groups one after another, so many fair
+    // interleavings cost the same number of inversions
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (i % 3, i));
+    let sigma = Permutation::from_order(order).unwrap();
+    let mut dp = BTreeSet::new();
+    let mut top_k = BTreeSet::new();
+    let mut kt = BTreeSet::new();
+    for _ in 0..20 {
+        let out = optimal_fair_ranking_dp(&scores, &groups, &tables, Discount::Log2).unwrap();
+        dp.insert(out.as_order().to_vec());
+        let out = fair_top_k(
+            &scores,
+            &groups,
+            &bounds,
+            20,
+            FairnessMode::Strong,
+            Discount::Log2,
+        )
+        .unwrap();
+        top_k.insert(out);
+        let out = optimal_fair_ranking_kt(&sigma, &groups, &tables).unwrap();
+        kt.insert(out.as_order().to_vec());
+    }
+    assert_eq!(dp.len(), 1, "ilp DP returned {} rankings", dp.len());
+    assert_eq!(
+        top_k.len(),
+        1,
+        "top-k DP returned {} shortlists",
+        top_k.len()
+    );
+    assert_eq!(kt.len(), 1, "exact-KT DP returned {} rankings", kt.len());
+}

@@ -5,8 +5,11 @@
 //! Three legs per size — `ndcg`, `infeasible`, `weighted` — each
 //! first **asserting byte-identity** against the unabridged scalar
 //! reference path (`rank_with_tables_reference`: same RNG stream,
-//! full decode + full objective per sample, no abandon) and then
-//! timing the kernel path. Two micro legs follow:
+//! full decode + full objective per sample, no abandon) and against
+//! the serial streaming loop (a one-batch `rank_batched`, abandon count
+//! included), then timing the kernel path. Sizes from n = 1024 up run
+//! the two-thread pipeline, so the smoke run keeps one such size. Two
+//! micro legs follow:
 //!
 //! * `infeasible_kernel` — [`CompiledInfeasible`] versus the naive
 //!   `O(n·g)` per-prefix breakdown on random permutations at
@@ -110,7 +113,7 @@ fn main() {
     // stays minutes-free while every size still exercises the abandon
     // machinery against a settled incumbent
     let sizes: &[(usize, usize)] = if smoke {
-        &[(200, 12), (1_000, 8)]
+        &[(200, 12), (1_000, 8), (4_000, 15)]
     } else {
         &[(1_000, 64), (10_000, 32), (100_000, 8)]
     };
@@ -148,6 +151,30 @@ fn main() {
                 "kernel objective must match the scalar path bit-for-bit (n={n}, {name})"
             );
             assert_eq!(fast.samples_drawn, reference.samples_drawn);
+            // batch 0 of rank_batched runs the serial loop on
+            // StdRng::seed_from_u64(base + 0x9E37_79B9_7F4A_7C15)
+            let serial = ranker
+                .rank_batched(
+                    &center,
+                    &tables,
+                    SEED.wrapping_sub(0x9E37_79B9_7F4A_7C15),
+                    1,
+                    1,
+                )
+                .expect("serial rank");
+            assert_eq!(
+                (
+                    &fast.ranking,
+                    fast.criterion_value.to_bits(),
+                    fast.samples_abandoned
+                ),
+                (
+                    &serial.ranking,
+                    serial.criterion_value.to_bits(),
+                    serial.samples_abandoned
+                ),
+                "kernel path must match the serial loop, abandon count included (n={n}, {name})"
+            );
 
             let ms = best_of_ms(iters, || {
                 let mut rng = StdRng::seed_from_u64(SEED);

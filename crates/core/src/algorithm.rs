@@ -2,25 +2,32 @@
 //!
 //! The sampling loop is the hottest path of the serving engine, so
 //! [`MallowsFairRanker::rank`] streams samples through the selection
-//! criterion instead of materializing them: each candidate is drawn by
-//! a zero-allocation [`RimSampler`], evaluated incrementally (IDCG
-//! precomputed once, infeasible-index counts buffer reused, Kendall tau
-//! read directly off the insertion code without decoding), and only a
-//! winning sample is ever decoded into the best-so-far buffer.
+//! criterion instead of materializing them: each candidate is drawn as
+//! an insertion code, judged by compiled kernels (IDCG precomputed
+//! once, scratch reused, Kendall tau read directly off the code), and
+//! decoded only when no bound rules it out. From 1024 items the draws
+//! and the judging run on two threads, with results identical to the
+//! one-thread loop.
 
 use crate::kernel::{CriterionKernel, CriterionPlan};
 use crate::{FairMallowsError, Result};
-use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
+use fairness_metrics::{infeasible, FairnessBounds, FairnessError, GroupAssignment};
 use mallows_model::tables::{RimSampler, SamplerTables};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ranking_core::{distance, quality, Permutation};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
-/// Samples decoded and evaluated per block by the streaming loop: the
-/// codes are drawn up front, then the block's rows run through the
-/// compiled kernels over reused scratch buffers.
+/// Drawn codes the pipelined loop may hold in flight between the
+/// drawing thread and the evaluating helper.
 const EVAL_BLOCK: usize = 8;
+
+/// Smallest ranking length at which [`MallowsFairRanker::rank_with_tables`]
+/// pipelines its best-of-`m` loop over two threads. Measured on 2 CPUs
+/// at m = 15, the thread spawn costs more than the overlap saves at
+/// n = 100, and the overlap wins from n = 500.
+const PIPELINE_MIN_N: usize = 1 << 10;
 
 /// Selection criterion for choosing among the `m` Mallows samples
 /// (Algorithm 1, line 8: `choose_ranking(c, samples)`).
@@ -109,7 +116,9 @@ impl Criterion {
         self.report(objective)
     }
 
-    fn check_shape(&self, n: usize) -> Result<()> {
+    /// Check every part of the criterion against rankings of `n` items
+    /// (the only ways [`CriterionPlan::compile`] can fail).
+    pub(crate) fn check_shape(&self, n: usize) -> Result<()> {
         match self {
             Criterion::MaxNdcg(scores) if scores.len() != n => {
                 Err(FairMallowsError::CriterionShape {
@@ -122,6 +131,16 @@ impl Criterion {
                     expected: groups.len(),
                     got: n,
                 })
+            }
+            Criterion::MinInfeasibleIndex { groups, bounds }
+                if bounds.num_groups() != groups.num_groups() =>
+            {
+                Err(FairMallowsError::Fairness(
+                    FairnessError::BoundsShapeMismatch {
+                        got: bounds.num_groups(),
+                        expected: groups.num_groups(),
+                    },
+                ))
             }
             Criterion::Weighted(parts) => {
                 for (_, c) in parts {
@@ -196,9 +215,9 @@ impl MallowsFairRanker {
     /// Draws `m` samples from `M(center, θ)` and returns the best under
     /// the criterion (with [`Criterion::FirstSample`] only one sample is
     /// drawn regardless of `m`). Samples stream through the criterion
-    /// one at a time — nothing but the current candidate and the best
-    /// so far is ever held, and after warm-up the loop allocates
-    /// nothing.
+    /// one at a time: besides the best so far, only the current
+    /// candidate (and, on large pools, a few drawn codes waiting to be
+    /// judged) is ever held.
     pub fn rank<R: Rng + ?Sized>(&self, center: &Permutation, rng: &mut R) -> Result<RankOutput> {
         let tables = Arc::new(SamplerTables::new(center.len(), self.theta)?);
         self.rank_with_tables(center, &tables, rng)
@@ -210,6 +229,11 @@ impl MallowsFairRanker {
     ///
     /// The table must have been built for this ranker's `θ` and for at
     /// least `center.len()` items.
+    ///
+    /// Pools of at least 1024 items draw on this thread while a scoped
+    /// helper judges the samples; the output, including
+    /// `samples_abandoned`, and the final state of `rng` are the same
+    /// as on one thread.
     ///
     /// ```
     /// use fair_mallows::{Criterion, MallowsFairRanker};
@@ -235,8 +259,18 @@ impl MallowsFairRanker {
             Criterion::FirstSample => 1,
             _ => self.num_samples,
         };
-        let plan = CriterionPlan::compile(&self.criterion, center.len())?;
-        let (obj, ranking, abandoned) = self.rank_streaming(center, tables, &plan, m, rng)?;
+        let n = center.len();
+        // gated on the input only: a pool large enough that decoding
+        // dominates, more than one sample, and a criterion that decodes
+        let (obj, ranking, abandoned) = if n >= PIPELINE_MIN_N
+            && m > 1
+            && !matches!(self.criterion, Criterion::MinKendallTau)
+        {
+            self.rank_pipelined(center, tables, m, rng)?
+        } else {
+            let plan = CriterionPlan::compile(&self.criterion, n)?;
+            self.rank_streaming(center, tables, &plan, m, rng)?
+        };
         Ok(RankOutput {
             ranking,
             samples_drawn: m,
@@ -245,17 +279,26 @@ impl MallowsFairRanker {
         })
     }
 
-    /// The streaming best-of-`m` core: returns the raw (lower-is-
-    /// better) objective, the winning sample and the number of samples
-    /// dropped by the early-abandon bound.
+    /// A sampler around `center` on the shared table, rejecting a table
+    /// built for another θ or for fewer items.
+    fn sampler(&self, center: &Permutation, tables: &Arc<SamplerTables>) -> Result<RimSampler> {
+        if tables.theta() != self.theta {
+            return Err(FairMallowsError::Mallows(
+                mallows_model::MallowsError::InvalidTheta {
+                    theta: tables.theta(),
+                },
+            ));
+        }
+        Ok(RimSampler::from_tables(center.clone(), Arc::clone(tables))?)
+    }
+
+    /// The serial best-of-`m` core: returns the raw (lower-is-better)
+    /// objective, the winning sample and the number of samples dropped
+    /// by the early-abandon bound.
     ///
-    /// Samples are processed in blocks of [`EVAL_BLOCK`]: the block's
-    /// insertion codes are drawn first (the RNG stream is identical to
-    /// drawing them one at a time, since evaluation consumes no
-    /// randomness), then each row is decoded into a reused scratch
-    /// permutation and run through the compiled kernels — rows whose
-    /// pre-decode bound (exact Kendall term plus plan constants)
-    /// already disqualifies them skip the decode entirely.
+    /// Each insertion code is drawn and then judged by
+    /// [`Selection::offer`]. A Kendall-only criterion needs no decode
+    /// at all (`d_KT = Σ code`), so only its new winners are decoded.
     fn rank_streaming<R: Rng + ?Sized>(
         &self,
         center: &Permutation,
@@ -264,68 +307,76 @@ impl MallowsFairRanker {
         m: usize,
         rng: &mut R,
     ) -> Result<(f64, Permutation, u64)> {
-        if tables.theta() != self.theta {
-            return Err(FairMallowsError::Mallows(
-                mallows_model::MallowsError::InvalidTheta {
-                    theta: tables.theta(),
-                },
-            ));
-        }
+        let mut sampler = self.sampler(center, tables)?;
         let n = center.len();
         debug_assert_eq!(plan.n(), n, "plan compiled for a different length");
-        let mut sampler = RimSampler::from_tables(center.clone(), Arc::clone(tables))?;
-        let mut best = Permutation::identity(0);
-        let mut best_obj = f64::INFINITY;
-        let mut have_best = false;
         if plan.is_kendall_only() {
-            for _ in 0..m {
+            let mut best = Permutation::identity(0);
+            let mut best_obj = f64::INFINITY;
+            for i in 0..m {
                 sampler.sample_code(rng);
-                // d_KT to the centre is Σ code: evaluate without
-                // decoding, and decode only the (rare) new winners
                 let obj = sampler.code_total() as f64;
-                if !have_best || obj < best_obj {
+                if i == 0 || obj < best_obj {
                     sampler.decode_code_into(&mut best);
                     best_obj = obj;
-                    have_best = true;
                 }
             }
-            debug_assert!(have_best, "m ≥ 1 samples were drawn");
             return Ok((best_obj, best, 0));
         }
-        let mut kernel = CriterionKernel::new(plan);
-        let block = EVAL_BLOCK.min(m.max(1));
-        let mut codes: Vec<Vec<usize>> = vec![Vec::new(); block];
-        let mut rows: Vec<Permutation> = vec![Permutation::identity(0); block];
-        let mut abandoned = 0u64;
-        let mut drawn = 0usize;
-        while drawn < m {
-            let b = (m - drawn).min(block);
-            for code in codes.iter_mut().take(b) {
-                tables.sample_code_into(n, code, rng);
-            }
-            for (code, row) in codes.iter().zip(rows.iter_mut()).take(b) {
-                let code_total: u64 = code.iter().map(|&v| v as u64).sum();
-                let threshold = have_best.then_some(best_obj);
-                if plan.abandons_predecode(code_total, threshold) {
-                    abandoned += 1;
-                    continue;
-                }
-                sampler.decode_external_code_into(code, row);
-                match kernel.evaluate(plan, row, center, Some(code_total), threshold) {
-                    None => abandoned += 1,
-                    Some(obj) => {
-                        if !have_best || obj < best_obj {
-                            std::mem::swap(&mut best, row);
-                            best_obj = obj;
-                            have_best = true;
-                        }
-                    }
-                }
-            }
-            drawn += b;
+        let mut selection = Selection::new(plan, sampler);
+        let mut code = Vec::new();
+        for _ in 0..m {
+            tables.sample_code_into(n, &mut code, rng);
+            selection.offer(&code);
         }
-        debug_assert!(have_best, "m ≥ 1 samples were drawn");
-        Ok((best_obj, best, abandoned))
+        Ok(selection.finish())
+    }
+
+    /// The same best-of-`m` as [`MallowsFairRanker::rank_streaming`],
+    /// split over two threads: this thread draws the `m` insertion
+    /// codes on the caller's RNG while one scoped helper compiles the
+    /// plan and then runs [`Selection::offer`] on each code in draw
+    /// order. Winner, objective bits, abandon count and the caller's
+    /// final RNG state are therefore those of the serial loop.
+    ///
+    /// Everything that can fail is checked before the helper starts, so
+    /// an invalid request errors without touching the RNG. At most
+    /// `EVAL_BLOCK + 2` code buffers exist: spent ones flow back for
+    /// reuse.
+    fn rank_pipelined<R: Rng + ?Sized>(
+        &self,
+        center: &Permutation,
+        tables: &Arc<SamplerTables>,
+        m: usize,
+        rng: &mut R,
+    ) -> Result<(f64, Permutation, u64)> {
+        let n = center.len();
+        self.criterion.check_shape(n)?;
+        let sampler = self.sampler(center, tables)?;
+        let criterion = &self.criterion;
+        let joined = std::thread::scope(|scope| {
+            let (code_tx, code_rx) = sync_channel::<Vec<usize>>(EVAL_BLOCK);
+            let (spent_tx, spent_rx) = sync_channel::<Vec<usize>>(EVAL_BLOCK + 2);
+            let helper = scope.spawn(move || {
+                let plan = CriterionPlan::compile(criterion, n)?;
+                let mut selection = Selection::new(&plan, sampler);
+                for code in code_rx {
+                    selection.offer(&code);
+                    let _ = spent_tx.try_send(code);
+                }
+                Ok(selection.finish())
+            });
+            for _ in 0..m {
+                let mut code = spent_rx.try_recv().unwrap_or_default();
+                tables.sample_code_into(n, &mut code, rng);
+                if code_tx.send(code).is_err() {
+                    break; // the helper is gone; joining says why
+                }
+            }
+            drop(code_tx);
+            helper.join()
+        });
+        joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     /// The unabridged scalar reference of the streaming loop: draw,
@@ -345,18 +396,11 @@ impl MallowsFairRanker {
         rng: &mut R,
     ) -> Result<RankOutput> {
         self.criterion.check_shape(center.len())?;
-        if tables.theta() != self.theta {
-            return Err(FairMallowsError::Mallows(
-                mallows_model::MallowsError::InvalidTheta {
-                    theta: tables.theta(),
-                },
-            ));
-        }
+        let mut sampler = self.sampler(center, tables)?;
         let m = match self.criterion {
             Criterion::FirstSample => 1,
             _ => self.num_samples,
         };
-        let mut sampler = RimSampler::from_tables(center.clone(), Arc::clone(tables))?;
         let mut current = Permutation::identity(0);
         let mut best = Permutation::identity(0);
         let mut best_obj = f64::INFINITY;
@@ -472,6 +516,69 @@ impl MallowsFairRanker {
     pub fn rank_scores<R: Rng + ?Sized>(&self, scores: &[f64], rng: &mut R) -> Result<RankOutput> {
         let center = Permutation::sorted_by_scores_desc(scores);
         self.rank(&center, rng)
+    }
+}
+
+/// Best-so-far state of one best-of-`m` run over a compiled plan.
+/// [`Selection::offer`] is the per-sample step shared by the serial
+/// loop and the pipeline helper.
+struct Selection<'p, 'c> {
+    plan: &'p CriterionPlan<'c>,
+    kernel: CriterionKernel,
+    sampler: RimSampler,
+    /// Decode target, swapped with `best` on a new winner.
+    row: Permutation,
+    best: Permutation,
+    /// Objective of `best`; `None` until the first sample is judged.
+    best_obj: Option<f64>,
+    abandoned: u64,
+}
+
+impl<'p, 'c> Selection<'p, 'c> {
+    fn new(plan: &'p CriterionPlan<'c>, sampler: RimSampler) -> Self {
+        Selection {
+            plan,
+            kernel: CriterionKernel::new(plan),
+            sampler,
+            row: Permutation::identity(0),
+            best: Permutation::identity(0),
+            best_obj: None,
+            abandoned: 0,
+        }
+    }
+
+    /// Judge the next sample, given as its insertion code. A code whose
+    /// pre-decode bound (exact Kendall term plus plan constants)
+    /// already loses is never decoded; otherwise the decoded row runs
+    /// through the compiled kernels and replaces the best only when it
+    /// is strictly better.
+    fn offer(&mut self, code: &[usize]) {
+        let code_total: u64 = code.iter().map(|&v| v as u64).sum();
+        let threshold = self.best_obj;
+        if self.plan.abandons_predecode(code_total, threshold) {
+            self.abandoned += 1;
+            return;
+        }
+        self.sampler.decode_external_code_into(code, &mut self.row);
+        let center = self.sampler.center();
+        match self
+            .kernel
+            .evaluate(self.plan, &self.row, center, Some(code_total), threshold)
+        {
+            None => self.abandoned += 1,
+            Some(obj) => {
+                if threshold.is_none_or(|best| obj < best) {
+                    std::mem::swap(&mut self.best, &mut self.row);
+                    self.best_obj = Some(obj);
+                }
+            }
+        }
+    }
+
+    /// The raw objective and ranking of the winner, and the abandon count.
+    fn finish(self) -> (f64, Permutation, u64) {
+        let best_obj = self.best_obj.expect("m ≥ 1 samples were offered");
+        (best_obj, self.best, self.abandoned)
     }
 }
 

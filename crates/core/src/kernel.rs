@@ -22,9 +22,8 @@
 //! comparison it skipped — the selected winner and every tie-break are
 //! identical to the unabridged scalar path.
 
-use crate::{Criterion, FairMallowsError, Result};
+use crate::{Criterion, Result};
 use fairness_metrics::infeasible::CompiledInfeasible;
-use fairness_metrics::FairnessError;
 use ranking_core::quality::{self, Discount};
 use ranking_core::{distance, Permutation};
 
@@ -106,15 +105,16 @@ struct BuildCtx<'c> {
 
 impl<'c> CriterionPlan<'c> {
     /// Compile `criterion` for rankings of `n` items, validating every
-    /// shape up front (the reference path re-validated per sample).
+    /// shape up front ([`Criterion::check_shape`]).
     pub(crate) fn compile(criterion: &'c Criterion, n: usize) -> Result<CriterionPlan<'c>> {
+        criterion.check_shape(n)?;
         let mut ctx = BuildCtx {
             ops: Vec::new(),
             ndcg_slots: 0,
             inf_templates: Vec::new(),
             need_discounts: false,
         };
-        let root = build(criterion, n, &mut ctx)?;
+        let root = build(criterion, n, &mut ctx);
         let discounts = if ctx.need_discounts {
             Discount::Log2.table(n)
         } else {
@@ -168,16 +168,11 @@ impl<'c> CriterionPlan<'c> {
     }
 }
 
-fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Result<Node> {
+/// Compile one (shape-checked) criterion node.
+fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Node {
     match criterion {
-        Criterion::FirstSample => Ok(Node::First),
+        Criterion::FirstSample => Node::First,
         Criterion::MaxNdcg(scores) => {
-            if scores.len() != n {
-                return Err(FairMallowsError::CriterionShape {
-                    expected: scores.len(),
-                    got: n,
-                });
-            }
             let idcg = quality::idcg(scores);
             let slot = ctx.ndcg_slots;
             ctx.ndcg_slots += 1;
@@ -193,29 +188,15 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
             // ≤ abs_sum is below n·ε·abs_sum; 8n + 64 leaves a wide
             // margin for the handful of bound-side operations
             let slack = (8.0 * n as f64 + 64.0) * f64::EPSILON * abs_sum;
-            Ok(Node::Ndcg {
+            Node::Ndcg {
                 idcg,
                 pos_sum,
                 slack,
                 slot,
-            })
+            }
         }
-        Criterion::MinKendallTau => Ok(Node::Kendall),
+        Criterion::MinKendallTau => Node::Kendall,
         Criterion::MinInfeasibleIndex { groups, bounds } => {
-            if groups.len() != n {
-                return Err(FairMallowsError::CriterionShape {
-                    expected: groups.len(),
-                    got: n,
-                });
-            }
-            if bounds.num_groups() != groups.num_groups() {
-                return Err(FairMallowsError::Fairness(
-                    FairnessError::BoundsShapeMismatch {
-                        got: bounds.num_groups(),
-                        expected: groups.num_groups(),
-                    },
-                ));
-            }
             let slot = ctx.inf_templates.len();
             ctx.inf_templates
                 .push(CompiledInfeasible::compile(bounds, n));
@@ -223,7 +204,7 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
                 ids: groups.as_slice(),
                 slot,
             });
-            Ok(Node::Infeasible { slot })
+            Node::Infeasible { slot }
         }
         Criterion::Weighted(parts) => {
             let mut built = Vec::with_capacity(parts.len());
@@ -234,9 +215,9 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
                     Criterion::MinInfeasibleIndex { .. } => (2 * n.max(1)) as f64,
                     _ => 1.0,
                 };
-                built.push((*w, norm, build(c, n, ctx)?));
+                built.push((*w, norm, build(c, n, ctx)));
             }
-            Ok(Node::Weighted(built))
+            Node::Weighted(built)
         }
     }
 }

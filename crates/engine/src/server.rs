@@ -868,6 +868,7 @@ fn read_request(stream: &mut TcpStream, s: &mut ConnScratch) -> Result<ReadOutco
     let mut content_length: Option<usize> = None;
     let mut close_token = false;
     let mut keep_alive_token = false;
+    let mut expect_continue = false;
     let mut header_count = 0usize;
     for line in lines {
         if line.is_empty() {
@@ -904,6 +905,8 @@ fn read_request(stream: &mut TcpStream, s: &mut ConnScratch) -> Result<ReadOutco
                         keep_alive_token = true;
                     }
                 }
+            } else if name.eq_ignore_ascii_case("expect") {
+                expect_continue = value.trim().eq_ignore_ascii_case("100-continue");
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 // chunked bodies are not implemented; accepting the
                 // request would desync keep-alive framing (the chunk
@@ -939,6 +942,14 @@ fn read_request(stream: &mut TcpStream, s: &mut ConnScratch) -> Result<ReadOutco
         if !s.long_timeout_active {
             let _ = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
             s.long_timeout_active = true;
+        }
+        if expect_continue {
+            // the client holds the body back until told to send it (or
+            // until its own timeout, about a second for curl); only
+            // reached once the size check above has passed
+            stream
+                .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+                .map_err(|_| ReadError::Closed)?;
         }
         let already = s.body.len();
         s.body.resize(content_length, 0);
@@ -1704,6 +1715,51 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
         assert!(response.contains("header line too long"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn expect_continue_is_answered_before_the_body_is_read() {
+        let server = start();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let body = r#"{"algorithm":"weakly-fair","scores":[0.9,0.1],"groups":[0,1]}"#;
+        let head = format!(
+            "POST /rank HTTP/1.1\r\nhost: fairrank\r\nconnection: close\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let sent = Instant::now();
+        stream.write_all(head.as_bytes()).unwrap();
+        // the client holds the body back until the interim response
+        let interim = b"HTTP/1.1 100 Continue\r\n\r\n";
+        let mut got = vec![0u8; interim.len()];
+        stream.read_exact(&mut got).unwrap();
+        let waited = sent.elapsed();
+        assert_eq!(got, interim);
+        assert!(waited < Duration::from_millis(200), "100 took {waited:?}");
+        stream.write_all(body.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn expect_continue_with_oversized_body_is_refused_without_100() {
+        let server = start();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let head = format!(
+            "POST /rank HTTP/1.1\r\nhost: fairrank\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(!response.contains("100 Continue"), "{response}");
+        assert!(response.contains("exceeds the"), "{response}");
         server.shutdown();
     }
 
