@@ -39,15 +39,18 @@ pub fn weakly_fair_ranking(
     let n = scores.len();
     let g = groups.num_groups();
 
-    // Per-group queues of items by descending score.
-    let mut queues: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
+    // Per-group queues of items by descending score, ties by ascending
+    // index: plain integer sorts of (key, item) pairs.
+    let mut queues: Vec<Vec<(u64, usize)>> = groups
+        .group_sizes()
+        .into_iter()
+        .map(Vec::with_capacity)
+        .collect();
+    for (item, &p) in groups.as_slice().iter().enumerate() {
+        queues[p].push((descending_key(scores[item]), item));
+    }
     for q in &mut queues {
-        q.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        q.sort_unstable();
         q.reverse(); // pop() yields the best
     }
 
@@ -68,43 +71,40 @@ pub fn weakly_fair_ranking(
                 pick = Some(p);
             }
         }
-        // 2. best-scored feasible item
-        if pick.is_none() {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..g {
-                let Some(&head) = queues[p].last() else {
-                    continue;
-                };
-                if counts[p] + 1 > bounds.max_count(p, k) {
-                    continue;
-                }
-                let s = scores[head];
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, p));
-                }
-            }
-            pick = best.map(|(_, p)| p);
-        }
-        // 3. fallback: ignore bounds
-        if pick.is_none() {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..g {
-                let Some(&head) = queues[p].last() else {
-                    continue;
-                };
-                let s = scores[head];
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, p));
-                }
-            }
-            pick = best.map(|(_, p)| p);
-        }
-        let p = pick.expect("some queue is non-empty while k <= n");
-        let item = queues[p].pop().expect("picked group has a head");
+        // 2. best-scored feasible item, else 3. fallback: ignore bounds
+        let p = pick
+            .or_else(|| best_head(&queues, |p| counts[p] < bounds.max_count(p, k)))
+            .or_else(|| best_head(&queues, |_| true))
+            .expect("some queue is non-empty while k <= n");
+        let (_, item) = queues[p].pop().expect("picked group has a head");
         counts[p] += 1;
         order.push(item);
     }
     Permutation::from_order_unchecked(order)
+}
+
+/// The group among those `eligible` admits whose queue head scores
+/// highest; on a tie, the smallest group id.
+fn best_head(queues: &[Vec<(u64, usize)>], eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    queues
+        .iter()
+        .enumerate()
+        .filter_map(|(p, q)| Some((q.last()?.0, p)).filter(|_| eligible(p)))
+        .min()
+        .map(|(_, p)| p)
+}
+
+/// Sort key that orders scores descending: the IEEE-754 total order
+/// with −0.0 folded into +0.0 (the two compare equal as scores),
+/// inverted. Equal scores get equal keys, so the item index breaks ties.
+fn descending_key(score: f64) -> u64 {
+    let bits = (score + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
 }
 
 #[cfg(test)]

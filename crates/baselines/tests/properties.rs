@@ -201,3 +201,82 @@ fn exact_dp_solvers_are_deterministic_on_tied_pools() {
     );
     assert_eq!(kt.len(), 1, "exact-KT DP returned {} rankings", kt.len());
 }
+
+/// The weakly-fair constructor as it sorted its group queues before
+/// the key sort: an indirect `partial_cmp` comparator with index
+/// tie-break. Kept as the oracle the production key sort must match.
+fn weakly_fair_comparator_oracle(
+    scores: &[f64],
+    groups: &GroupAssignment,
+    bounds: &FairnessBounds,
+) -> Vec<usize> {
+    let n = scores.len();
+    let g = groups.num_groups();
+    let mut queues: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
+    for q in &mut queues {
+        q.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        q.reverse();
+    }
+    let best_head = |queues: &[Vec<usize>], feasible: &dyn Fn(usize) -> bool| {
+        let mut best: Option<(f64, usize)> = None;
+        for (p, q) in queues.iter().enumerate() {
+            let Some(&head) = q.last() else { continue };
+            if feasible(p) && best.is_none_or(|(bs, _)| scores[head] > bs) {
+                best = Some((scores[head], p));
+            }
+        }
+        best.map(|(_, p)| p)
+    };
+    let mut counts = vec![0usize; g];
+    let mut order = Vec::with_capacity(n);
+    for k in 1..=n {
+        let mut pick: Option<usize> = None;
+        let mut worst_deficit = 0isize;
+        for p in (0..g).filter(|&p| !queues[p].is_empty()) {
+            let deficit = bounds.min_count(p, k) as isize - counts[p] as isize;
+            if deficit > worst_deficit {
+                worst_deficit = deficit;
+                pick = Some(p);
+            }
+        }
+        let pick = pick
+            .or_else(|| best_head(&queues, &|p| counts[p] < bounds.max_count(p, k)))
+            .or_else(|| best_head(&queues, &|_| true))
+            .unwrap();
+        order.push(queues[pick].pop().unwrap());
+        counts[pick] += 1;
+    }
+    order
+}
+
+/// Scores from a small palette: many ties, both zeros, negatives.
+const TIED_PALETTE: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300];
+
+proptest! {
+    #[test]
+    fn weakly_fair_key_sort_matches_comparator_oracle(
+        items in prop::collection::vec((0..TIED_PALETTE.len(), 0usize..4), 0..48),
+        g in 1usize..=4,
+        bounds_kind in 0usize..4,
+    ) {
+        let scores: Vec<f64> = items.iter().map(|&(s, _)| TIED_PALETTE[s]).collect();
+        let groups = GroupAssignment::new(items.iter().map(|&(_, p)| p % g).collect(), g).unwrap();
+        let bounds = match bounds_kind {
+            0 => FairnessBounds::from_assignment_with_tolerance(&groups, 0.0),
+            1 => FairnessBounds::from_assignment_with_tolerance(&groups, 0.1),
+            2 => FairnessBounds::from_assignment_with_tolerance(&groups, 1.0),
+            // every group demands 90 %: infeasible, the fallback fires
+            _ => FairnessBounds::new(vec![0.9; g], vec![1.0; g]).unwrap(),
+        };
+        let pi = weakly_fair_ranking(&scores, &groups, &bounds);
+        prop_assert_eq!(
+            pi.as_order(),
+            weakly_fair_comparator_oracle(&scores, &groups, &bounds).as_slice()
+        );
+    }
+}

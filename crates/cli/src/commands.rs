@@ -388,36 +388,18 @@ pub fn rank(args: &Args) -> Result<String> {
     };
 
     let mut out = table.render_ranking(&order);
-    // summary footer: utility + fairness of the produced (possibly
-    // truncated) ranking, measured over the selected items.
-    let sub_scores: Vec<f64> = order.iter().map(|&i| table.scores[i]).collect();
-    let sub_groups = table.groups.subset(&order);
-    let sub_bounds = FairnessBounds::from_assignment_with_tolerance(&sub_groups, tolerance);
-    let pi = Permutation::identity(order.len());
-    let ndcg = quality::ndcg(&pi, &sub_scores).map_err(algo_err)?;
-    // NDCG against the full pool's ideal, meaningful for shortlists:
-    let mut ideal = table.scores.clone();
-    ideal.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let pool_idcg: f64 = ideal
-        .iter()
-        .take(order.len())
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let dcg: f64 = sub_scores
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let ii =
-        infeasible::two_sided_infeasible_index(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    let pf = infeasible::pfair_percentage(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    out.push_str(&format!("# ndcg_within_selection,{ndcg:.6}\n"));
-    if pool_idcg > 0.0 {
-        out.push_str(&format!("# ndcg_vs_pool,{:.6}\n", dcg / pool_idcg));
+    // summary footer: the engine's utility + fairness report of the
+    // produced (possibly truncated) ranking, over the selected items
+    let report =
+        fairrank_engine::registry::score_metrics(&order, &table.scores, &table.groups, tolerance)
+            .map_err(algo_err)?;
+    for (name, value) in report {
+        match name.as_str() {
+            "infeasible_index" => out.push_str(&format!("# {name},{value}\n")),
+            "pfair_percentage" => out.push_str(&format!("# {name},{value:.2}\n")),
+            _ => out.push_str(&format!("# {name},{value:.6}\n")),
+        }
     }
-    out.push_str(&format!("# infeasible_index,{ii}\n"));
-    out.push_str(&format!("# pfair_percentage,{pf:.2}\n"));
     if let Some(abandoned) = mallows_abandoned {
         out.push_str(&format!("# criterion_samples_abandoned,{abandoned}\n"));
     }

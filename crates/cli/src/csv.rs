@@ -18,6 +18,7 @@ use crate::{CliError, Result};
 use fairness_metrics::GroupAssignment;
 use fairrank_dataset::{BatchDecoder, Dialect, FieldType, IndexedCsv, RecordBatch};
 use ranking_core::Permutation;
+use std::fmt::Write as _;
 use std::io::BufRead;
 
 /// Rows decoded per streaming batch: bounds memory on huge files
@@ -123,15 +124,18 @@ impl CandidateTable {
 
     /// Render a ranking (ranked order of item indices) back to CSV.
     pub fn render_ranking(&self, order: &[usize]) -> String {
-        let mut out = String::from("rank,id,score,group\n");
+        // every row is written in place into one buffer sized for typical rows
+        let mut out = String::with_capacity(64 * (order.len() + 1));
+        out.push_str("rank,id,score,group\n");
         for (rank, &item) in order.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
+            let _ = writeln!(
+                out,
+                "{},{},{},{}",
                 rank + 1,
                 self.ids[item],
                 self.scores[item],
                 self.group_labels[self.groups.group_of(item)]
-            ));
+            );
         }
         out
     }

@@ -476,6 +476,7 @@ impl Engine {
             if self.registry().get(&chunk.algorithm).is_none() {
                 return Err(EngineError::UnknownAlgorithm(chunk.algorithm.clone()));
             }
+            crate::registry::check_group_ids(chunk.input.groups(), chunk.input.len())?;
         }
         let job = self.job_store().insert(spec.chunks, parent_trace)?;
         let engine = Arc::clone(self);

@@ -2,8 +2,8 @@
 //!
 //! A [`RankJob`] is a fully self-contained request: algorithm name,
 //! input data and parameters (including the RNG seed, so re-running a
-//! job is bit-reproducible). Jobs have a canonical text form whose
-//! FNV-1a hash keys the result cache.
+//! job is bit-reproducible). The FNV-1a hash of a job's binary
+//! encoding ([`RankJob::digest`]) keys the result cache.
 
 use crate::json::Json;
 use std::fmt::Write as _;
@@ -113,54 +113,71 @@ pub struct RankJob {
 }
 
 impl RankJob {
-    /// Canonical text form: every field in a fixed order. Two jobs have
-    /// equal canonical forms iff they are behaviourally identical, so
-    /// the form's hash is a sound cache key.
-    pub fn canonical(&self) -> String {
-        let mut s = String::with_capacity(256);
+    /// Cache key: FNV-1a over a tagged, length-prefixed little-endian
+    /// encoding of every field — the algorithm name, each [`JobParams`]
+    /// field in declaration order (an `Option` as a discriminant byte
+    /// plus its value), then the input's variant tag, scores as
+    /// `f64::to_bits`, votes and group ids. The encoding is injective,
+    /// so equal digests mean (up to hash collisions) behaviourally
+    /// identical jobs. The hash runs byte by byte: folding whole words
+    /// with xor-multiply alone would leave bit 63 of each word unmixed,
+    /// so pools differing only in the signs of two scores would collide.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
         let p = &self.params;
-        let _ = write!(
-            s,
-            "algo={};theta={};samples={};tol={};noise={};k={:?};seed={};method={};post={};prot={};prop={:?};alpha={};",
-            self.algorithm, p.theta, p.samples, p.tolerance, p.noise_sd, p.k, p.seed, p.method,
-            p.post, p.protected, p.proportion, p.alpha
-        );
+        h.str(&self.algorithm);
+        h.u64(p.theta.to_bits());
+        h.u64(p.samples as u64);
+        h.u64(p.tolerance.to_bits());
+        h.u64(p.noise_sd.to_bits());
+        h.bytes(&[u8::from(p.k.is_some())]);
+        h.u64(p.k.unwrap_or(0) as u64);
+        h.u64(p.seed);
+        h.str(&p.method);
+        h.str(&p.post);
+        h.u64(p.protected as u64);
+        h.bytes(&[u8::from(p.proportion.is_some())]);
+        h.u64(p.proportion.unwrap_or(0.0).to_bits());
+        h.u64(p.alpha.to_bits());
         match &self.input {
-            JobInput::Scores { scores, groups } => {
-                s.push_str("scores=");
-                for x in scores {
-                    let _ = write!(s, "{x},");
-                }
-                s.push_str(";groups=");
-                for g in groups {
-                    let _ = write!(s, "{g},");
-                }
+            JobInput::Scores { scores, .. } => {
+                h.bytes(&[0]);
+                h.u64(scores.len() as u64);
+                scores.iter().for_each(|x| h.u64(x.to_bits()));
             }
-            JobInput::Votes { votes, groups } => {
-                s.push_str("votes=");
+            JobInput::Votes { votes, .. } => {
+                h.bytes(&[1]);
+                h.u64(votes.len() as u64);
                 for vote in votes {
-                    for i in vote {
-                        let _ = write!(s, "{i},");
-                    }
-                    s.push('|');
-                }
-                s.push_str(";groups=");
-                for g in groups {
-                    let _ = write!(s, "{g},");
+                    h.u64(vote.len() as u64);
+                    vote.iter().for_each(|&i| h.u64(i as u64));
                 }
             }
         }
-        s
+        let groups = self.input.groups();
+        h.u64(groups.len() as u64);
+        groups.iter().for_each(|&g| h.u64(g as u64));
+        h.0
+    }
+}
+
+/// 64-bit FNV-1a, fed one byte at a time.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 
-    /// FNV-1a hash of the canonical form (the cache key).
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
     }
 }
 
@@ -294,6 +311,64 @@ mod tests {
         let mut b = job(1);
         b.algorithm = "detconstsort".to_string();
         assert_ne!(a.digest(), b.digest());
+    }
+
+    fn pool(scores: Vec<f64>, groups: Vec<usize>) -> RankJob {
+        RankJob {
+            input: JobInput::Scores { scores, groups },
+            ..job(1)
+        }
+    }
+
+    #[test]
+    fn digest_sees_sign_flips() {
+        // xor-multiply over whole words would cancel two flips of bit 63
+        let a = pool(vec![0.9, 0.5, 0.1, 0.3], vec![]);
+        let b = pool(vec![-0.9, 0.5, -0.1, 0.3], vec![]);
+        let c = pool(vec![0.9, -0.5, 0.1, -0.3], vec![]);
+        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.digest(), c.digest());
+        assert_ne!(b.digest(), c.digest());
+        let zero = pool(vec![0.0, 1.0], vec![]);
+        let negative_zero = pool(vec![-0.0, 1.0], vec![]);
+        assert_ne!(zero.digest(), negative_zero.digest());
+    }
+
+    #[test]
+    fn digest_sees_swapped_neighbours() {
+        let a = pool(vec![0.9, 0.5, 0.1], vec![0, 1, 0]);
+        let b = pool(vec![0.5, 0.9, 0.1], vec![0, 1, 0]);
+        let c = pool(vec![0.9, 0.5, 0.1], vec![1, 0, 0]);
+        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn digest_tells_absent_options_from_zero() {
+        let mut a = job(1);
+        let mut b = job(1);
+        a.params.k = None;
+        b.params.k = Some(0);
+        assert_ne!(a.digest(), b.digest());
+        a.params.proportion = None;
+        b.params = a.params.clone();
+        b.params.proportion = Some(0.0);
+        assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn digest_sees_values_moved_between_columns() {
+        // without length prefixes both encode as bits(1), bits(2), 7
+        let a = pool(vec![1.0, 2.0], vec![7]);
+        let b = pool(vec![1.0], vec![2.0f64.to_bits() as usize, 7]);
+        assert_ne!(a.digest(), b.digest());
+        let mut c = job(1);
+        let mut d = job(1);
+        c.params.method = "ab".into();
+        c.params.post = "c".into();
+        d.params.method = "a".into();
+        d.params.post = "bc".into();
+        assert_ne!(c.digest(), d.digest());
     }
 
     #[test]

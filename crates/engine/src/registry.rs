@@ -18,7 +18,7 @@ use fair_mallows::{Criterion, MallowsFairRanker};
 use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
 use fairness_ranking::pipeline::{Aggregator, PipelineSpec, PostProcessor};
 use rand::rngs::StdRng;
-use ranking_core::quality::{self, Discount};
+use ranking_core::quality::Discount;
 use ranking_core::Permutation;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -200,8 +200,22 @@ fn group_assignment(groups: &[usize], n: usize) -> Result<GroupAssignment, Engin
             groups.len()
         )));
     }
+    check_group_ids(groups, n)?;
     let num_groups = groups.iter().max().map_or(1, |&g| g + 1);
     GroupAssignment::new(groups.to_vec(), num_groups).map_err(algo_err)
+}
+
+/// Reject group ids that cannot be dense over `n` items (any id `≥ n`)
+/// before anything is sized from them: one id of 4·10⁹ would otherwise
+/// allocate per-group tables of that length and abort the process.
+pub(crate) fn check_group_ids(groups: &[usize], n: usize) -> Result<(), EngineError> {
+    match groups.iter().position(|&g| g >= n) {
+        Some(i) => Err(invalid(format!(
+            "groups[{i}] = {} is out of range: group ids must be below the item count {n}",
+            groups[i]
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn votes_input(job: &RankJob) -> Result<(Vec<Permutation>, GroupAssignment), EngineError> {
@@ -444,41 +458,49 @@ fn run_score_algorithm(
     })
 }
 
-/// Utility + fairness report for a (possibly truncated) ranking,
-/// mirroring the `fairrank rank` footer: NDCG within the selection and
-/// versus the pool ideal, infeasible index and P-fair percentage over
-/// the selected items.
-fn score_metrics(
+/// Utility + fairness report for a (possibly truncated) ranking: NDCG
+/// within the selection and versus the pool ideal, infeasible index and
+/// P-fair percentage over the selected items. Every score-pool response
+/// and the `fairrank rank` footer carry it. The values equal, bit for
+/// bit, `ranking_core::quality::ndcg`, `two_sided_infeasible_index` and
+/// `pfair_percentage` on the selection, with one discount table, one
+/// pool sort and one infeasible scan.
+pub fn score_metrics(
     order: &[usize],
     scores: &[f64],
     groups: &GroupAssignment,
     tolerance: f64,
 ) -> Result<Vec<(String, f64)>, EngineError> {
+    let k = order.len();
+    let discounts = Discount::Log2.table(k);
+    let dcg_of =
+        |ranked: &[f64]| -> f64 { ranked.iter().zip(&discounts).map(|(s, d)| s * d).sum() };
+    let mut ideal = scores.to_vec();
+    ideal.sort_unstable_by(|a, b| b.total_cmp(a));
+    let pool_idcg = dcg_of(&ideal);
     let sub_scores: Vec<f64> = order.iter().map(|&i| scores[i]).collect();
+    let dcg = dcg_of(&sub_scores);
+    // a full ranking holds the pool's scores, so its ideal is the pool's
+    let idcg = if k == scores.len() {
+        pool_idcg
+    } else {
+        let mut sub_ideal = sub_scores;
+        sub_ideal.sort_unstable_by(|a, b| b.total_cmp(a));
+        dcg_of(&sub_ideal)
+    };
+    let ndcg = if idcg == 0.0 { 1.0 } else { dcg / idcg };
     let sub_groups = groups.subset(order);
     let sub_bounds = FairnessBounds::from_assignment_with_tolerance(&sub_groups, tolerance);
-    let pi = Permutation::identity(order.len());
-    let ndcg = quality::ndcg(&pi, &sub_scores).map_err(algo_err)?;
-    let mut ideal = scores.to_vec();
-    ideal.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let pool_idcg: f64 = ideal
-        .iter()
-        .take(order.len())
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let dcg: f64 = sub_scores
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
+    let pi = Permutation::identity(k);
     let ii =
         infeasible::two_sided_infeasible_index(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    let pf = infeasible::pfair_percentage(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
     let mut metrics = vec![
         ("ndcg_within_selection".to_string(), ndcg),
         ("infeasible_index".to_string(), ii as f64),
-        ("pfair_percentage".to_string(), pf),
+        (
+            "pfair_percentage".to_string(),
+            infeasible::pfair_percentage_from_index(ii, k),
+        ),
     ];
     if pool_idcg > 0.0 {
         metrics.insert(1, ("ndcg_vs_pool".to_string(), dcg / pool_idcg));

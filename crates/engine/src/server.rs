@@ -1764,6 +1764,56 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_group_ids_are_a_400_and_the_server_survives() {
+        // one id of 4·10⁹ used to size per-group tables and abort the
+        // process; it must be refused before anything is allocated
+        let server = start();
+        let rank =
+            r#"{"algorithm":"weakly-fair","scores":[0.9,0.5,0.1],"groups":[0,1,4000000000]}"#;
+        let (status, body) = http(server.addr(), "POST", "/rank", rank);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("groups"), "{body}");
+        let jobs = format!(r#"{{"chunks":[{rank}]}}"#);
+        let (status, body) = http(server.addr(), "POST", "/jobs", &jobs);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("groups"), "{body}");
+        let (status, _) = http(server.addr(), "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn ring_key_is_the_cache_digest() {
+        let mut arena = JsonArena::new();
+        let rank =
+            r#"{"algorithm":"mallows","scores":[0.9,-0.0,0.4],"groups":[0,1,0],"k":2,"seed":7}"#;
+        let job = RankJob {
+            algorithm: "mallows".to_string(),
+            input: JobInput::Scores {
+                scores: vec![0.9, -0.0, 0.4],
+                groups: vec![0, 1, 0],
+            },
+            params: JobParams {
+                k: Some(2),
+                seed: 7,
+                ..JobParams::default()
+            },
+        };
+        assert_eq!(
+            ring_key("/rank", rank.as_bytes(), &mut arena),
+            Some(job.digest())
+        );
+        let jobs = format!(r#"{{"chunks":[{rank},{rank}]}}"#);
+        let spec = crate::batch::BatchSpec {
+            chunks: vec![job.clone(), job],
+        };
+        assert_eq!(
+            ring_key("/jobs", jobs.as_bytes(), &mut arena),
+            Some(spec.digest())
+        );
+    }
+
+    #[test]
     fn pipeline_round_trip_contains_both_rankings() {
         let server = start();
         let (status, body) = http(

@@ -14,12 +14,13 @@
 //!
 //! (The *job* layer — building the owned `RankJob` handed to the
 //! engine — allocates by design and is outside the audited boundary;
-//! so is the error path, which formats messages.)
+//! so is the error path, which formats messages. The job's cache
+//! digest, which every request computes, is audited.)
 //!
 //! Single test on purpose: the tracking flag is process-global, so a
 //! concurrently running test would pollute the count.
 
-use fairrank_engine::job::RankResult;
+use fairrank_engine::job::{JobInput, JobParams, RankJob, RankResult};
 use fairrank_engine::json::JsonArena;
 use fairrank_engine::server::write_response_traced_into;
 use fairrank_engine::trace::{FlightRecorder, SpanRecorder, Trace, TraceHandle, TraceStr};
@@ -133,9 +134,25 @@ fn warm_http_parse_and_serialize_layer_does_not_allocate() {
     );
     let framed_len = response.len();
 
+    // the cache key every request computes
+    let job = RankJob {
+        algorithm: "mallows".to_string(),
+        input: JobInput::Scores {
+            scores: vec![0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
+            groups: vec![0, 0, 0, 1, 1, 1],
+        },
+        params: JobParams {
+            k: Some(4),
+            proportion: Some(0.5),
+            ..JobParams::default()
+        },
+    };
+    let digest = job.digest();
+
     // ... then the same request again must not touch the allocator
     body_out.clear();
     let allocations = allocations_during(|| {
+        assert_eq!(job.digest(), digest);
         let doc = arena.parse(request_body).expect("valid request body");
         // drive the accessors the routing layer uses
         assert_eq!(doc.get("seed").unwrap().as_u64(), Some(42));

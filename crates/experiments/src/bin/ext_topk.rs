@@ -23,7 +23,7 @@ use fair_baselines::{fa_ir, fair_top_k, FaIrConfig, FairnessMode};
 use fair_datasets::GermanCredit;
 use fairness_metrics::{infeasible, FairnessBounds};
 use mallows_model::TopKMallows;
-use ranking_core::quality::Discount;
+use ranking_core::quality::{self, Discount};
 use ranking_core::Permutation;
 
 const POOL: usize = 100;
@@ -35,17 +35,6 @@ fn dcg_of(items: &[usize], scores: &[f64]) -> f64 {
         .iter()
         .enumerate()
         .map(|(i, &item)| scores[item] * Discount::Log2.at(i + 1))
-        .sum()
-}
-
-fn pool_idcg(scores: &[f64], k: usize) -> f64 {
-    let mut sorted = scores.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    sorted
-        .iter()
-        .take(k)
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
         .sum()
 }
 
@@ -124,7 +113,7 @@ fn main() {
             })
             .expect("15 samples drawn");
 
-        let idcg = pool_idcg(&scores, K);
+        let idcg = quality::idcg_at(&scores, K, Discount::Log2);
         for (a, shortlist) in [&plain, &weak, &strong, &fair, &mallows]
             .into_iter()
             .enumerate()

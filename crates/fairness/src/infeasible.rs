@@ -319,12 +319,17 @@ pub fn pfair_percentage(
     groups: &GroupAssignment,
     bounds: &FairnessBounds,
 ) -> Result<f64> {
-    let n = pi.len();
-    if n == 0 {
-        return Ok(100.0);
-    }
     let ii = two_sided_infeasible_index(pi, groups, bounds)?;
-    Ok((100.0 * (1.0 - ii as f64 / n as f64)).max(0.0))
+    Ok(pfair_percentage_from_index(ii, pi.len()))
+}
+
+/// [`pfair_percentage`] of an `n`-item ranking whose
+/// `TwoSidedInfInd` is `index`, for callers that already hold the index.
+pub fn pfair_percentage_from_index(index: usize, n: usize) -> f64 {
+    if n == 0 {
+        return 100.0;
+    }
+    (100.0 * (1.0 - index as f64 / n as f64)).max(0.0)
 }
 
 /// Convenience: infeasible index measured against bounds equal to the

@@ -202,6 +202,7 @@ fn read_request(stream: &mut TcpStream, input: &mut Vec<u8>) -> Option<Request> 
     let path = parts.next()?.to_string();
     let mut content_length = 0usize;
     let mut keep_alive = true;
+    let mut expect_continue = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -211,10 +212,18 @@ fn read_request(stream: &mut TcpStream, input: &mut Vec<u8>) -> Option<Request> 
             content_length = value.parse().ok()?;
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
+        } else if name.eq_ignore_ascii_case("expect") {
+            expect_continue = value.eq_ignore_ascii_case("100-continue");
         }
     }
     if content_length > MAX_BODY {
         return None;
+    }
+    if expect_continue && input.len() < head_end + content_length {
+        // the client holds the body back until told to send it (or
+        // until its own timeout, about a second for curl); only reached
+        // once the size check above has passed
+        stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").ok()?;
     }
     while input.len() < head_end + content_length {
         let mut chunk = [0u8; 4096];

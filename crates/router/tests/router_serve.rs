@@ -152,6 +152,64 @@ fn router_is_transparent_and_joins_traces() {
 }
 
 #[test]
+fn expect_continue_is_answered_before_the_body_is_read() {
+    let backend = spawn_backend();
+    let router = spawn_router(vec![backend.addr().to_string()], 30, 0);
+    wait_ready(router.addr(), 1);
+
+    let mut stream = TcpStream::connect(router.addr()).unwrap();
+    let body = rank_body(3);
+    let head = format!(
+        "POST /rank HTTP/1.1\r\nhost: test\r\nconnection: close\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let sent = Instant::now();
+    stream.write_all(head.as_bytes()).unwrap();
+    // the client holds the body back until the interim response
+    let interim = b"HTTP/1.1 100 Continue\r\n\r\n";
+    let mut got = vec![0u8; interim.len()];
+    stream.read_exact(&mut got).unwrap();
+    let waited = sent.elapsed();
+    assert_eq!(got, interim);
+    assert!(waited < Duration::from_millis(200), "100 took {waited:?}");
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn expect_continue_with_oversized_body_is_refused_without_100() {
+    let backend = spawn_backend();
+    let router = spawn_router(vec![backend.addr().to_string()], 30, 0);
+    wait_ready(router.addr(), 1);
+
+    let mut stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // far above the router's body cap
+    let head = format!(
+        "POST /rank HTTP/1.1\r\nhost: test\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+        1usize << 30
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).unwrap();
+    let response = String::from_utf8_lossy(&response);
+    assert!(!response.contains("100 Continue"), "{response}");
+
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
 fn empty_ring_is_a_well_formed_503_at_startup() {
     // a port that refuses connections: bind, read the port, drop
     let dead_addr = {
