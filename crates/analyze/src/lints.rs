@@ -59,6 +59,7 @@ impl LintConfig {
                 "fairness_metrics",
                 "rank_aggregation",
                 "fair_mallows",
+                "fair_baselines",
             ]
             .map(str::to_string)
             .to_vec(),

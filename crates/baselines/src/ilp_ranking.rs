@@ -15,9 +15,12 @@
 //!   prefix counts. Within a group, DCG-optimality forces descending
 //!   score order (exchange argument with the decreasing discount), so
 //!   the only decision per position is *which group* supplies the next
-//!   item; the DP state is the per-group count vector. This solves the
-//!   ILP exactly in time `O(n · |states| · g)` and handles the paper's
-//!   German-Credit sweeps (n ≤ 100, g ≤ 4) in milliseconds.
+//!   item. The crate's one prefix-count solver (`prefix_dp`) then solves
+//!   the ILP exactly in time `O(n · |states| · g)` with one byte per
+//!   state, and refuses an instance over `MAX_DP_STATES` (2²⁷) states
+//!   with [`BaselineError::StateSpaceTooLarge`] before allocating it.
+//!   The paper's German-Credit sweeps (n ≤ 100, g ≤ 4) take
+//!   milliseconds.
 //! * [`optimal_fair_ranking_ilp`] — the literal ILP via `lp-solver`
 //!   branch & bound; exponential in the worst case, used to
 //!   cross-validate the DP on small instances.
@@ -26,14 +29,13 @@
 //! half-normal slack: `⌊β_p·ℓ⌋ − X` and `⌈α_p·ℓ⌉ + Y` with
 //! `X, Y ~ |N(0, σ)|` — reproduced by [`noisy_tables`].
 
-use crate::{BaselineError, Result};
+use crate::{ensure_shape, prefix_dp, BaselineError, Result};
 use eval_stats::NormalSampler;
 use fairness_metrics::{bounds::BoundTables, FairnessBounds, GroupAssignment};
 use lp_solver::{Problem, Relation};
 use rand::Rng;
 use ranking_core::quality::Discount;
 use ranking_core::Permutation;
-use std::collections::HashMap;
 
 /// Build per-prefix integer bound tables relaxed by half-normal noise,
 /// as in the paper's noisy-ILP experiments. `sigma = 0` reproduces the
@@ -64,7 +66,8 @@ pub fn noisy_tables<R: Rng + ?Sized>(
 
 /// Exact DCG-optimal fair ranking by dynamic programming (see module
 /// docs). Errors with [`BaselineError::Infeasible`] when the tables
-/// admit no complete ranking.
+/// admit no complete ranking and [`BaselineError::StateSpaceTooLarge`]
+/// when the DP would exceed its state budget.
 pub fn optimal_fair_ranking_dp(
     scores: &[f64],
     groups: &GroupAssignment,
@@ -72,96 +75,29 @@ pub fn optimal_fair_ranking_dp(
     discount: Discount,
 ) -> Result<Permutation> {
     let n = scores.len();
-    if n != groups.len() {
-        return Err(BaselineError::ShapeMismatch {
-            what: "scores vs groups",
-        });
-    }
-    if tables.len() != n {
-        return Err(BaselineError::ShapeMismatch {
-            what: "tables vs items",
-        });
-    }
-    if n == 0 {
-        return Ok(Permutation::identity(0));
-    }
-    let g = groups.num_groups();
-    let sizes = groups.group_sizes();
+    ensure_shape(n == groups.len(), "scores vs groups")?;
+    ensure_shape(tables.len() == n, "tables vs items")?;
+    max_dcg(scores, groups, tables, discount).map(Permutation::from_order_unchecked)
+}
 
-    // Group members sorted by descending score: the t-th pick from group
-    // p is always its t-th best member.
-    let mut members: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
-    for m in &mut members {
-        m.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+/// The DCG-optimal prefix of length `tables.len()` whose `ℓ`-th prefix
+/// meets bound row `ℓ`; shared with [`fair_top_k`](crate::fair_top_k).
+pub(crate) fn max_dcg(
+    scores: &[f64],
+    groups: &GroupAssignment,
+    tables: &BoundTables,
+    discount: Discount,
+) -> Result<Vec<usize>> {
+    // Group members by descending score: the t-th pick from group p is
+    // always its t-th best member.
+    let mut members = vec![Vec::new(); groups.num_groups()];
+    for &i in Permutation::sorted_by_scores_desc(scores).as_order() {
+        members[groups.group_of(i)].push(i);
     }
-
-    type State = Vec<u16>;
-    // layers[ℓ]: state after position ℓ+1 → (best DCG, group chosen at
-    // that position). An exact tie keeps the smaller group id, so the
-    // result never depends on the maps' (randomly keyed) iteration order.
-    let start: HashMap<State, (f64, usize)> = HashMap::from([(vec![0u16; g], (0.0, 0))]);
-    let mut layers: Vec<HashMap<State, (f64, usize)>> = Vec::with_capacity(n);
-
-    for l in 0..n {
-        let frontier = layers.last().unwrap_or(&start);
-        let mut next: HashMap<State, (f64, usize)> = HashMap::new();
-        for (state, &(value, _)) in frontier {
-            for p in 0..g {
-                let cnt = state[p] as usize;
-                if cnt >= sizes[p] {
-                    continue;
-                }
-                // bounds at prefix ℓ+1 for the *new* counts
-                let mut ok = true;
-                for q in 0..g {
-                    let c = state[q] as usize + usize::from(q == p);
-                    if c < tables.min[l][q] || c > tables.max[l][q] {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let gain = scores[members[p][cnt]] * discount.at(l + 1);
-                let mut new_state = state.clone();
-                new_state[p] += 1;
-                let v = value + gain;
-                let slot = next.entry(new_state).or_insert((v, p));
-                if v > slot.0 || (v == slot.0 && p < slot.1) {
-                    *slot = (v, p);
-                }
-            }
-        }
-        if next.is_empty() {
-            return Err(BaselineError::Infeasible);
-        }
-        layers.push(next);
-    }
-
-    // Reconstruct the group sequence from the unique full state.
-    let mut state: State = sizes.iter().map(|&s| s as u16).collect();
-    let mut group_seq = vec![0usize; n];
-    for l in (0..n).rev() {
-        let (_, p) = *layers[l]
-            .get(&state)
-            .expect("backpointer exists for reachable state");
-        group_seq[l] = p;
-        state[p] -= 1;
-    }
-    // Materialize items: t-th occurrence of group p takes its t-th best.
-    let mut taken = vec![0usize; g];
-    let mut order = Vec::with_capacity(n);
-    for p in group_seq {
-        order.push(members[p][taken[p]]);
-        taken[p] += 1;
-    }
-    Ok(Permutation::from_order_unchecked(order))
+    let discounts = discount.table(tables.len());
+    prefix_dp::solve(&members, tables, |l, counts, p| {
+        scores[members[p][counts[p]]] * discounts[l]
+    })
 }
 
 /// The literal ILP via `lp-solver` branch & bound. Exponential worst
@@ -174,16 +110,8 @@ pub fn optimal_fair_ranking_ilp(
     discount: Discount,
 ) -> Result<Permutation> {
     let n = scores.len();
-    if n != groups.len() {
-        return Err(BaselineError::ShapeMismatch {
-            what: "scores vs groups",
-        });
-    }
-    if tables.len() != n {
-        return Err(BaselineError::ShapeMismatch {
-            what: "tables vs items",
-        });
-    }
+    ensure_shape(n == groups.len(), "scores vs groups")?;
+    ensure_shape(tables.len() == n, "tables vs items")?;
     if n == 0 {
         return Ok(Permutation::identity(0));
     }
@@ -400,6 +328,18 @@ mod tests {
         let relaxed =
             optimal_fair_ranking_dp(&scores, &groups, &relaxed_tables, Discount::Log2).unwrap();
         assert!(dcg(&relaxed, &scores) >= dcg(&tight, &scores) - 1e-9);
+    }
+
+    #[test]
+    fn group_counts_past_u16_are_solved() {
+        // 65 990 members in one group overflowed 16-bit prefix counts
+        let n = 66_000;
+        let scores: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1000) as f64).collect();
+        let groups = GroupAssignment::binary_split(n, 65_990);
+        let tables = FairnessBounds::from_assignment(&groups).tables(n);
+        let dp = optimal_fair_ranking_dp(&scores, &groups, &tables, Discount::Log2).unwrap();
+        assert_eq!(dp.len(), n);
+        assert!(brute::is_fair_tables(&dp, &groups, &tables));
     }
 
     #[test]

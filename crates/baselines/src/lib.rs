@@ -16,7 +16,17 @@
 //!   `(α⃗, β⃗)`-fair ranking, solved exactly by a dynamic program over
 //!   per-group prefix counts, cross-validated against `lp-solver`'s
 //!   branch & bound, with the paper's noisy constraint relaxation;
+//! * [`top_k`] — the DCG-optimal fair shortlist of `k` items under weak
+//!   or strong fairness;
 //! * [`brute`] — exhaustive reference solvers used as test oracles.
+//!
+//! The three exact solvers ([`optimal_fair_ranking_dp`], [`fair_top_k`]
+//! and [`optimal_fair_ranking_kt`]) are thin wrappers over one private
+//! prefix-count DP. Its states at prefix `ℓ` are the per-group count
+//! vectors allowed by that prefix's bound row, indexed densely, so it
+//! knows how many it needs (one back-pointer byte each) before it
+//! allocates them, and refuses more than 2²⁷ with
+//! [`BaselineError::StateSpaceTooLarge`].
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +37,7 @@ pub mod gr_binary;
 pub mod ilp_ranking;
 pub mod ipf;
 pub mod multi_kt;
+mod prefix_dp;
 pub mod top_k;
 pub mod weakly_fair;
 
@@ -36,7 +47,7 @@ pub use gr_binary::gr_binary_ipf;
 pub use ilp_ranking::{noisy_tables, optimal_fair_ranking_dp, optimal_fair_ranking_ilp};
 pub use ipf::{approx_multi_valued_ipf, IpfConfig, IpfOutput};
 pub use multi_kt::optimal_fair_ranking_kt;
-pub use top_k::{fair_top_k, fair_top_k_ranking, FairnessMode};
+pub use top_k::{fair_top_k, FairnessMode};
 pub use weakly_fair::weakly_fair_ranking;
 
 /// Errors raised by the baseline algorithms.
@@ -54,6 +65,13 @@ pub enum BaselineError {
         /// Human-readable description of the mismatch.
         what: &'static str,
     },
+    /// An exact DP would need more states than its memory budget allows.
+    StateSpaceTooLarge {
+        /// States the instance needs (saturating).
+        states: usize,
+        /// The solver's budget.
+        limit: usize,
+    },
     /// Propagated fairness-metrics error.
     Fairness(fairness_metrics::FairnessError),
     /// Propagated LP error.
@@ -70,6 +88,10 @@ impl std::fmt::Display for BaselineError {
                 write!(f, "algorithm requires exactly 2 groups, got {got}")
             }
             BaselineError::ShapeMismatch { what } => write!(f, "shape mismatch: {what}"),
+            BaselineError::StateSpaceTooLarge { states, limit } => write!(
+                f,
+                "exact DP needs {states} states, over the limit of {limit}"
+            ),
             BaselineError::Fairness(e) => write!(f, "fairness error: {e}"),
             BaselineError::Lp(e) => write!(f, "lp error: {e}"),
             BaselineError::Assignment(e) => write!(f, "assignment error: {e}"),
@@ -99,3 +121,10 @@ impl From<assignment_solver::AssignmentError> for BaselineError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, BaselineError>;
+
+/// `Err(ShapeMismatch { what })` unless the shape check `holds`.
+fn ensure_shape(holds: bool, what: &'static str) -> Result<()> {
+    holds
+        .then_some(())
+        .ok_or(BaselineError::ShapeMismatch { what })
+}

@@ -6,11 +6,13 @@
 //! items appear in *input order* (an exchange argument — swapping two
 //! same-group items out of input order only adds inversions and leaves
 //! every prefix count unchanged). The output is therefore determined by
-//! the *group pattern* alone, and dynamic programming over per-group
-//! count vectors `(c_1, …, c_g)` explores exactly the feasible patterns:
+//! the *group pattern* alone, and the crate's one prefix-count DP
+//! (`prefix_dp`, shared with the ILP and fair top-k) explores exactly
+//! the feasible patterns:
 //!
-//! * state: counts placed per group (`Π (n_p + 1)` states, the
-//!   `n^{O(g)}` of the theorem);
+//! * state: counts placed per group, boxed per prefix by the tables (at
+//!   most `Π (n_p + 1)` states, the `n^{O(g)}` of the theorem; more than
+//!   2²⁷ are refused before anything is allocated);
 //! * transition: append the next item of group `p` — its identity is
 //!   forced (the `c_p + 1`-st member in input order), and the added
 //!   inversions against the input are
@@ -24,112 +26,51 @@
 //! special case for two groups; the tests pin the two against each
 //! other and against brute force.
 
-use crate::{BaselineError, Result};
+use crate::{ensure_shape, prefix_dp, Result};
 use fairness_metrics::bounds::BoundTables;
 use fairness_metrics::GroupAssignment;
 use ranking_core::Permutation;
-use std::collections::HashMap;
 
 /// Exact minimum-KT fair re-ranking of `sigma` under per-prefix bound
 /// tables (any number of groups).
 ///
-/// State space is `Π_p (|G_p| + 1)`; practical for `g ≤ 4` at the
-/// paper's sizes (`n ≤ 100`). Errors with
-/// [`BaselineError::Infeasible`] when no complete fair pattern exists
-/// and [`BaselineError::ShapeMismatch`] on inconsistent inputs.
+/// State space is at most `Π_p (|G_p| + 1)`; practical for `g ≤ 4` at
+/// the paper's sizes (`n ≤ 100`). Errors with [`Infeasible`] when no
+/// complete fair pattern exists, [`StateSpaceTooLarge`] when the DP
+/// would exceed its state budget and [`ShapeMismatch`] on inconsistent
+/// inputs.
+///
+/// [`Infeasible`]: crate::BaselineError::Infeasible
+/// [`StateSpaceTooLarge`]: crate::BaselineError::StateSpaceTooLarge
+/// [`ShapeMismatch`]: crate::BaselineError::ShapeMismatch
 pub fn optimal_fair_ranking_kt(
     sigma: &Permutation,
     groups: &GroupAssignment,
     tables: &BoundTables,
 ) -> Result<Permutation> {
     let n = sigma.len();
-    if groups.len() != n {
-        return Err(BaselineError::ShapeMismatch {
-            what: "ranking vs groups",
-        });
-    }
-    if tables.len() != n {
-        return Err(BaselineError::ShapeMismatch {
-            what: "tables vs items",
-        });
-    }
+    ensure_shape(groups.len() == n, "ranking vs groups")?;
+    ensure_shape(tables.len() == n, "tables vs items")?;
     let g = groups.num_groups();
-    let positions = sigma.positions();
 
-    // members[p] in input (σ) order.
-    let mut members: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
-    for m in &mut members {
-        m.sort_by_key(|&item| positions[item]);
-    }
-    let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
-
-    // before[i][q] = members of group q that σ ranks before item i.
-    // Computed by a sweep over σ's order: running per-group counts.
-    let mut before = vec![vec![0usize; g]; n];
-    let mut running = vec![0usize; g];
+    // One sweep over σ: members[p] in input order, and before[i][q] =
+    // members of group q that σ ranks before item i.
+    let mut members = vec![Vec::new(); g];
+    let mut before = vec![Vec::new(); n];
     for &item in sigma.as_order() {
-        before[item].clone_from(&running);
-        running[groups.group_of(item)] += 1;
+        before[item] = members.iter().map(Vec::len).collect::<Vec<usize>>();
+        members[groups.group_of(item)].push(item);
     }
 
-    // Forward DP over count vectors, layer by prefix length (sum of
-    // counts): layers[k-1] maps counts → (least cost, group appended to
-    // reach them). An exact tie keeps the smaller group id, so the
-    // result never depends on the maps' iteration order.
-    let start: HashMap<Vec<usize>, (u64, usize)> = HashMap::from([(vec![0usize; g], (0, 0))]);
-    let mut layers: Vec<HashMap<Vec<usize>, (u64, usize)>> = Vec::with_capacity(n);
-
-    for k in 1..=n {
-        let layer = layers.last().unwrap_or(&start);
-        let mut next: HashMap<Vec<usize>, (u64, usize)> = HashMap::new();
-        for (counts, &(cost, _)) in layer {
-            for p in 0..g {
-                if counts[p] >= sizes[p] {
-                    continue;
-                }
-                let item = members[p][counts[p]];
-                // inversions added against already-placed items
-                let added: u64 = (0..g)
-                    .map(|q| (counts[q] - counts[q].min(before[item][q])) as u64)
-                    .sum();
-                let mut c2 = counts.clone();
-                c2[p] += 1;
-                // prefix-k feasibility for every group
-                if (0..g).any(|q| c2[q] < tables.min[k - 1][q] || c2[q] > tables.max[k - 1][q]) {
-                    continue;
-                }
-                let candidate = cost + added;
-                let slot = next.entry(c2).or_insert((candidate, p));
-                if candidate < slot.0 || (candidate == slot.0 && p < slot.1) {
-                    *slot = (candidate, p);
-                }
-            }
-        }
-        if next.is_empty() {
-            return Err(BaselineError::Infeasible);
-        }
-        layers.push(next);
-    }
-
-    // Reconstruct from the full-count state.
-    let mut counts = sizes.clone();
-    let mut pattern = Vec::with_capacity(n);
-    for k in (1..=n).rev() {
-        let &(_, p) = layers[k - 1]
-            .get(&counts)
-            .expect("every surviving state has a recorded parent");
-        pattern.push(p);
-        counts[p] -= 1;
-    }
-    pattern.reverse();
-
-    let mut heads = vec![0usize; g];
-    let mut order = Vec::with_capacity(n);
-    for p in pattern {
-        order.push(members[p][heads[p]]);
-        heads[p] += 1;
-    }
-    Ok(Permutation::from_order_unchecked(order))
+    // maximise minus the inversions each placement adds against the
+    // already-placed items
+    prefix_dp::solve(&members, tables, |_, counts, p| {
+        let item = members[p][counts[p]];
+        -(0..g)
+            .map(|q| (counts[q] - counts[q].min(before[item][q])) as i64)
+            .sum::<i64>()
+    })
+    .map(Permutation::from_order_unchecked)
 }
 
 #[cfg(test)]
@@ -137,6 +78,7 @@ mod tests {
     use super::*;
     use crate::brute;
     use crate::gr_binary_ipf;
+    use crate::BaselineError;
     use fairness_metrics::FairnessBounds;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

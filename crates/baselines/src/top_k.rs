@@ -10,14 +10,18 @@
 //! * [`FairnessMode::Strong`] — Definition 1 with threshold 1: every
 //!   prefix of the shortlist satisfies the bounds.
 //!
-//! The same group-count DP as `ilp_ranking` applies, truncated at level
-//! `k`, with the bounds checked per mode.
+//! Both run the crate's one prefix-count DP (`prefix_dp`, shared with
+//! `ilp_ranking`) for `k` layers. Strong mode passes the bound row of
+//! every prefix; weak mode passes the vacuous row `[0, ℓ]` for every
+//! prefix but the last, so its state space grows like `k^{g−1}` per
+//! layer and is refused with [`StateSpaceTooLarge`] once it passes the
+//! solver's budget of 2²⁷ states.
+//!
+//! [`StateSpaceTooLarge`]: crate::BaselineError::StateSpaceTooLarge
 
-use crate::{BaselineError, Result};
+use crate::{ensure_shape, Result};
 use fairness_metrics::{FairnessBounds, GroupAssignment};
 use ranking_core::quality::Discount;
-use ranking_core::Permutation;
-use std::collections::HashMap;
 
 /// Which prefixes of the shortlist must satisfy the bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +35,12 @@ pub enum FairnessMode {
 /// Exact DCG-optimal fair shortlist of `k` items (see module docs).
 ///
 /// Returns the selected items in ranked order (a length-`k` sequence of
-/// original item indices). Errors with [`BaselineError::Infeasible`]
-/// when no shortlist satisfies the bounds.
+/// original item indices). Errors with [`Infeasible`] when no shortlist
+/// satisfies the bounds and [`StateSpaceTooLarge`] when the DP would
+/// exceed its state budget.
+///
+/// [`Infeasible`]: crate::BaselineError::Infeasible
+/// [`StateSpaceTooLarge`]: crate::BaselineError::StateSpaceTooLarge
 pub fn fair_top_k(
     scores: &[f64],
     groups: &GroupAssignment,
@@ -41,143 +49,29 @@ pub fn fair_top_k(
     mode: FairnessMode,
     discount: Discount,
 ) -> Result<Vec<usize>> {
-    let n = scores.len();
-    if n != groups.len() {
-        return Err(BaselineError::ShapeMismatch {
-            what: "scores vs groups",
-        });
-    }
-    if bounds.num_groups() != groups.num_groups() {
-        return Err(BaselineError::ShapeMismatch {
-            what: "bounds vs groups",
-        });
-    }
-    if k > n {
-        return Err(BaselineError::ShapeMismatch {
-            what: "k exceeds item count",
-        });
-    }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let g = groups.num_groups();
-    let sizes = groups.group_sizes();
-
-    let mut members: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
-    for m in &mut members {
-        m.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
-
-    type State = Vec<u16>;
-    // layers[ℓ]: state after position ℓ+1 → (best DCG, group chosen at
-    // that position); exact ties keep the smaller group id, as in
-    // `optimal_fair_ranking_dp`
-    let start: HashMap<State, (f64, usize)> = HashMap::from([(vec![0u16; g], (0.0, 0))]);
-    let mut layers: Vec<HashMap<State, (f64, usize)>> = Vec::with_capacity(k);
-
-    for l in 0..k {
-        let enforce = mode == FairnessMode::Strong || l + 1 == k;
-        let frontier = layers.last().unwrap_or(&start);
-        let mut next: HashMap<State, (f64, usize)> = HashMap::new();
-        for (state, &(value, _)) in frontier {
-            for p in 0..g {
-                let cnt = state[p] as usize;
-                if cnt >= sizes[p] {
-                    continue;
-                }
-                if enforce {
-                    let prefix = l + 1;
-                    let mut ok = true;
-                    for q in 0..g {
-                        let c = state[q] as usize + usize::from(q == p);
-                        if c < bounds.min_count(q, prefix) || c > bounds.max_count(q, prefix) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                }
-                let gain = scores[members[p][cnt]] * discount.at(l + 1);
-                let mut new_state = state.clone();
-                new_state[p] += 1;
-                let v = value + gain;
-                let slot = next.entry(new_state).or_insert((v, p));
-                if v > slot.0 || (v == slot.0 && p < slot.1) {
-                    *slot = (v, p);
-                }
-            }
+    ensure_shape(scores.len() == groups.len(), "scores vs groups")?;
+    ensure_shape(
+        bounds.num_groups() == groups.num_groups(),
+        "bounds vs groups",
+    )?;
+    ensure_shape(k <= scores.len(), "k exceeds item count")?;
+    // weak mode bounds only the full shortlist: every shorter prefix
+    // gets the vacuous row [0, ℓ]
+    let mut tables = bounds.tables(k);
+    if mode == FairnessMode::Weak {
+        for l in 1..k {
+            tables.min[l - 1].fill(0);
+            tables.max[l - 1].fill(l);
         }
-        if next.is_empty() {
-            return Err(BaselineError::Infeasible);
-        }
-        layers.push(next);
     }
-
-    // Best final state (many states can reach level k, unlike the full
-    // ranking DP); an exact tie keeps the smallest count vector.
-    let mut state = layers[k - 1]
-        .iter()
-        .max_by(|a, b| {
-            (a.1 .0)
-                .partial_cmp(&b.1 .0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.0.cmp(a.0))
-        })
-        .map(|(state, _)| state.clone())
-        .expect("non-empty frontier");
-    let mut group_seq = vec![0usize; k];
-    for l in (0..k).rev() {
-        let (_, p) = *layers[l]
-            .get(&state)
-            .expect("backpointer for reachable state");
-        group_seq[l] = p;
-        state[p] -= 1;
-    }
-    let mut taken = vec![0usize; g];
-    let mut out = Vec::with_capacity(k);
-    for p in group_seq {
-        out.push(members[p][taken[p]]);
-        taken[p] += 1;
-    }
-    Ok(out)
-}
-
-/// Convenience: full fair ranking of the shortlist padded with the
-/// remaining items by descending score (useful when downstream expects
-/// a complete permutation but only the top-`k` is constrained).
-pub fn fair_top_k_ranking(
-    scores: &[f64],
-    groups: &GroupAssignment,
-    bounds: &FairnessBounds,
-    k: usize,
-    mode: FairnessMode,
-    discount: Discount,
-) -> Result<Permutation> {
-    let head = fair_top_k(scores, groups, bounds, k, mode, discount)?;
-    let chosen: std::collections::HashSet<usize> = head.iter().copied().collect();
-    let mut rest: Vec<usize> = (0..scores.len()).filter(|i| !chosen.contains(i)).collect();
-    rest.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut order = head;
-    order.extend(rest);
-    Ok(Permutation::from_order_unchecked(order))
+    crate::ilp_ranking::max_dcg(scores, groups, &tables, discount)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_metrics::pfair;
+    use crate::BaselineError;
+    use ranking_core::Permutation;
 
     fn setup() -> (Vec<f64>, GroupAssignment, FairnessBounds) {
         // group 0 (items 0..5) dominates the scores
@@ -346,19 +240,28 @@ mod tests {
     }
 
     #[test]
-    fn padded_ranking_is_weakly_fair_and_complete() {
-        let (scores, groups, bounds) = setup();
-        let pi = fair_top_k_ranking(
+    fn weak_selection_over_the_state_budget_is_refused() {
+        // weak mode leaves every shorter prefix unbounded, so three
+        // groups at k = n = 2000 need ~10⁹ states
+        let n = 2000;
+        let scores: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let groups = GroupAssignment::new((0..n).map(|i| i % 3).collect(), 3).unwrap();
+        let bounds = FairnessBounds::from_assignment(&groups);
+        let out = fair_top_k(
             &scores,
             &groups,
             &bounds,
-            4,
+            n,
             FairnessMode::Weak,
             Discount::Log2,
-        )
-        .unwrap();
-        assert_eq!(pi.len(), 10);
-        assert!(pfair::is_weak_k_fair(&pi, &groups, &bounds, 4).unwrap());
+        );
+        match out {
+            Err(BaselineError::StateSpaceTooLarge { states, limit }) => {
+                assert_eq!(limit, 1 << 27);
+                assert!(states > limit);
+            }
+            other => panic!("expected StateSpaceTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -155,9 +155,10 @@ fn is_perm(pi: &Permutation, n: usize) -> bool {
     })
 }
 
-/// The exact DP solvers keep one parent per state in randomly keyed
-/// hash maps; on a pool where many group orders tie exactly, the chosen
-/// parent must not depend on the maps' iteration order.
+/// On a pool where many group orders tie exactly, the exact DP solvers
+/// must pick one parent per state by their tie rules alone (smaller
+/// group id, then smallest final count vector), so repeated runs return
+/// the same ranking.
 #[test]
 fn exact_dp_solvers_are_deterministic_on_tied_pools() {
     use fair_baselines::{optimal_fair_ranking_dp, optimal_fair_ranking_kt};

@@ -1783,6 +1783,37 @@ mod tests {
     }
 
     #[test]
+    fn exact_dp_over_its_state_budget_is_a_422_and_the_server_survives() {
+        // weak fair top-k over 3 groups at n = 2000 needs ~10⁹ DP states;
+        // the solver counts them up front and refuses instead of growing
+        // the process until it is killed
+        let server = start();
+        let n = 2000;
+        let scores: Vec<String> = (0..n).map(|i| format!("{}", i as f64 / n as f64)).collect();
+        let groups: Vec<String> = (0..n).map(|i| (i % 3).to_string()).collect();
+        let rank = format!(
+            r#"{{"algorithm":"fair-top-k","scores":[{}],"groups":[{}]}}"#,
+            scores.join(","),
+            groups.join(",")
+        );
+        let sent = Instant::now();
+        let (status, body) = http(server.addr(), "POST", "/rank", &rank);
+        let took = sent.elapsed();
+        assert_eq!(status, 422, "{body}");
+        let states: usize = body
+            .split("needs ")
+            .nth(1)
+            .and_then(|rest| rest.split(" states, over the limit of 134217728").next())
+            .and_then(|count| count.parse().ok())
+            .unwrap_or_else(|| panic!("no state count in {body}"));
+        assert!(states > 1 << 27, "{body}");
+        assert!(took < Duration::from_secs(1), "refusal took {took:?}");
+        let (status, _) = http(server.addr(), "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    #[test]
     fn ring_key_is_the_cache_digest() {
         let mut arena = JsonArena::new();
         let rank =
